@@ -1,0 +1,7 @@
+"""``python -m repro`` entry point."""
+
+import sys
+
+from repro.cli import main
+
+sys.exit(main())
