@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 
 from repro.core.enums import ProcessKind
+from repro.core.schema import NOT_PERSISTED
 
 _instrument_ids = itertools.count(1)
 _docket_ids = itertools.count(1)
@@ -38,8 +39,9 @@ class IssuedProcess:
     expires_at: float
     scope: str = ""
     revoked: bool = False
+    #: A per-process counter, so never persisted: reloads get a fresh id.
     instrument_id: int = dataclasses.field(
-        default_factory=lambda: next(_instrument_ids)
+        default_factory=lambda: next(_instrument_ids), metadata=NOT_PERSISTED
     )
 
     def valid_at(self, time: float) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.enums import ProcessKind
+from repro.core.schema import encoder
 from repro.ledger.store import Ledger
 
 
@@ -31,13 +32,7 @@ class RulingRow:
 
     def to_dict(self) -> dict:
         """JSON-serializable view (what ``repro ledger query`` prints)."""
-        return {
-            "fingerprint_digest": self.fingerprint_digest,
-            "required_process": self.required_process,
-            "needs_process": self.needs_process,
-            "citations": list(self.citations),
-            "suppression_outcomes": list(self.suppression_outcomes),
-        }
+        return encoder(RulingRow)(self)
 
 
 def _attach_details(ledger: Ledger, rows: list) -> list[RulingRow]:

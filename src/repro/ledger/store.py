@@ -37,6 +37,7 @@ from repro.ledger import schema
 from repro.ledger.serialize import (
     citation_keys,
     custody_entry_from_dict,
+    custody_entry_to_dict,
     fingerprint_from_json,
     fingerprint_to_json,
     instrument_from_dict,
@@ -319,7 +320,10 @@ class Ledger:
             INSERT INTO instruments (
                 instrument_key, docket_id, kind, issued_to,
                 issued_at, expires_at, scope, revoked
-            ) VALUES (?, ?, ?, ?, ?, ?, ?, ?)
+            ) VALUES (
+                :instrument_key, :docket_id, :kind, :issued_to,
+                :issued_at, :expires_at, :scope, :revoked
+            )
             ON CONFLICT (instrument_key) DO UPDATE SET
                 docket_id = excluded.docket_id,
                 kind = excluded.kind,
@@ -329,16 +333,12 @@ class Ledger:
                 scope = excluded.scope,
                 revoked = excluded.revoked
             """,
-            (
-                instrument_key,
-                docket_id,
-                payload["kind"],
-                payload["issued_to"],
-                payload["issued_at"],
-                payload["expires_at"],
-                payload["scope"],
-                int(payload["revoked"]),
-            ),
+            {
+                **payload,
+                "instrument_key": instrument_key,
+                "docket_id": docket_id,
+                "revoked": int(payload["revoked"]),
+            },
         )
         self.stats.instrument_writes += 1
 
@@ -352,14 +352,7 @@ class Ledger:
         if row is None:
             return None
         return instrument_from_dict(
-            {
-                "kind": row["kind"],
-                "issued_to": row["issued_to"],
-                "issued_at": row["issued_at"],
-                "expires_at": row["expires_at"],
-                "scope": row["scope"],
-                "revoked": bool(row["revoked"]),
-            }
+            {**dict(row), "revoked": bool(row["revoked"])}
         )
 
     # -- custody -----------------------------------------------------------------
@@ -395,17 +388,12 @@ class Ledger:
             """
             INSERT INTO custody_entries (
                 chain_id, seq, timestamp, custodian, event, content_hash
-            ) VALUES (?, ?, ?, ?, ?, ?)
+            ) VALUES (
+                :chain_id, :seq, :timestamp, :custodian, :event, :content_hash
+            )
             """,
             [
-                (
-                    chain_id,
-                    seq,
-                    entry.timestamp,
-                    entry.custodian,
-                    entry.event,
-                    entry.content_hash,
-                )
+                {"chain_id": chain_id, "seq": seq, **custody_entry_to_dict(entry)}
                 for seq, entry in enumerate(chain.entries)
             ],
         )
@@ -421,14 +409,7 @@ class Ledger:
         if row is None:
             return None
         entries = tuple(
-            custody_entry_from_dict(
-                {
-                    "timestamp": entry["timestamp"],
-                    "custodian": entry["custodian"],
-                    "event": entry["event"],
-                    "content_hash": entry["content_hash"],
-                }
-            )
+            custody_entry_from_dict(dict(entry))
             for entry in self._db.execute(
                 "SELECT timestamp, custodian, event, content_hash "
                 "FROM custody_entries WHERE chain_id = ? ORDER BY seq",

@@ -229,8 +229,13 @@ class Histogram:
         """Sum of all observed values."""
         return self._sum
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``.
+
+        A batch whose items share one per-item value records it with one
+        call; the result equals ``count`` single calls (``sum`` up to
+        float rounding).
+        """
         value = float(value)
         lo, hi = 0, len(self._bounds)
         while lo < hi:  # bisect over bounds: first bound >= value
@@ -239,9 +244,9 @@ class Histogram:
                 lo = mid + 1
             else:
                 hi = mid
-        self._bucket_counts[lo] += 1
-        self._sum += value
-        self._count += 1
+        self._bucket_counts[lo] += count
+        self._sum += value * count
+        self._count += count
         if value < self._min:
             self._min = value
         if value > self._max:

@@ -5,9 +5,10 @@ The compliance engine is a fast in-process library, but the ROADMAP's
 process that many consumers share.  This package provides that:
 
 * :mod:`repro.serve.protocol` — the newline-delimited-JSON wire format:
-  a complete, loss-free action codec (the inverse problem of the
-  ledger's ruling codec) and canonical request/response envelopes, so a
-  served ruling is *byte-identical* to the in-process one;
+  a complete, loss-free, strict action codec (derived from the
+  dataclasses by :mod:`repro.core.schema`, like the ledger's ruling
+  codec) and canonical request/response envelopes, so a served ruling
+  is *byte-identical* to the in-process one;
 * :mod:`repro.serve.shard` — :class:`~repro.serve.shard.ShardRouter`:
   N shards, each owning a **private** ``RulingCache`` and
   ``ComplianceEngine``, with actions routed by fingerprint hash — no

@@ -1,8 +1,8 @@
 """The ruling server's newline-delimited-JSON wire format.
 
-One request or response per line, UTF-8, compact sorted-key JSON — the
-same canonical form :mod:`repro.ledger.serialize` uses for persisted
-rulings, so the bytes a client receives for a ruling are exactly the
+One request or response per line, UTF-8, compact sorted-key JSON
+(:func:`~repro.core.schema.canonical_json`, the form the ledger stores
+rulings in), so the bytes a client receives for a ruling are exactly the
 bytes ``canonical_json(ruling_to_dict(ruling))`` produces in-process.
 That is what makes the serve-bench differential gate a *byte* equality
 check rather than a tolerance.
@@ -21,10 +21,12 @@ carries ``"shed": true`` so clients can distinguish overload from a bad
 request.  The connection survives request-level errors; only framing
 violations (oversized or non-UTF-8 lines) close it.
 
-The action codec below is the inverse problem of the ledger's ruling
-codec: every field of every frozen dataclass, enums by stable ``name``,
-so a decoded action compares equal to — and fingerprints identically
-to — the one the client held.
+The action codec is derived from the :class:`InvestigativeAction`
+dataclasses by :mod:`repro.core.schema`, so a decoded action compares
+equal to (and fingerprints identically to) the one the client held.
+Decoding treats every client as hostile: a value the encoder could not
+have produced (``"false"`` for a boolean, an unknown key or enum name,
+a missing key) is a :class:`ProtocolError`, never a coerced fact.
 """
 
 from __future__ import annotations
@@ -32,17 +34,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.action import ConsentFacts, DoctrineFacts, InvestigativeAction
-from repro.core.context import EnvironmentContext
-from repro.core.enums import (
-    Actor,
-    ConsentScope,
-    DataKind,
-    Place,
-    ProviderRole,
-    Timing,
-)
-from repro.ledger.serialize import canonical_json
+from repro.core.action import InvestigativeAction
+from repro.core.schema import SchemaError, canonical_json, decoder, encoder
 
 #: Framing bound: one request line must fit a full batch of actions.
 #: Encoded actions run ~800 bytes each, so 4 MiB comfortably holds the
@@ -64,135 +57,22 @@ class ProtocolError(ValueError):
 
 # -- action codec ----------------------------------------------------------------
 
-
-def action_to_dict(action: InvestigativeAction) -> dict:
-    """The complete JSON-serializable encoding of an action."""
-    context = action.context
-    return {
-        "description": action.description,
-        "actor": action.actor.name,
-        "data_kind": action.data_kind.name,
-        "timing": action.timing.name,
-        "context": {
-            "place": context.place.name,
-            "encrypted": context.encrypted,
-            "knowingly_exposed": context.knowingly_exposed,
-            "shared_with_others": context.shared_with_others,
-            "delivered_to_recipient": context.delivered_to_recipient,
-            "provider_serves_public": context.provider_serves_public,
-            "provider_role": (
-                None
-                if context.provider_role is None
-                else context.provider_role.name
-            ),
-            "policy_eliminates_rep": context.policy_eliminates_rep,
-            "home_interior": context.home_interior,
-            "technology_in_general_public_use": (
-                context.technology_in_general_public_use
-            ),
-            "abandoned": context.abandoned,
-        },
-        "consent": {
-            "scope": action.consent.scope.name,
-            "voluntary": action.consent.voluntary,
-            "exceeds_authority": action.consent.exceeds_authority,
-            "revoked": action.consent.revoked,
-            "covers_target_data": action.consent.covers_target_data,
-        },
-        "doctrine": {
-            "exigent_circumstances": action.doctrine.exigent_circumstances,
-            "plain_view": action.doctrine.plain_view,
-            "target_on_probation": action.doctrine.target_on_probation,
-            "emergency_pen_trap": action.doctrine.emergency_pen_trap,
-            "hash_search_of_lawful_media": (
-                action.doctrine.hash_search_of_lawful_media
-            ),
-            "mining_of_lawful_data": action.doctrine.mining_of_lawful_data,
-            "credentials_lawfully_obtained": (
-                action.doctrine.credentials_lawfully_obtained
-            ),
-            "monitoring_own_network": action.doctrine.monitoring_own_network,
-            "victim_invited_monitoring": (
-                action.doctrine.victim_invited_monitoring
-            ),
-        },
-    }
+action_to_dict = encoder(InvestigativeAction)
+_decode_action = decoder(InvestigativeAction)
 
 
-def action_from_dict(payload: dict) -> InvestigativeAction:
+def action_from_dict(payload: Any) -> InvestigativeAction:
     """Rebuild an action that compares equal to (and fingerprints
     identically to) the encoded one.
 
     Raises:
-        ProtocolError: On missing fields or unknown enum names.
+        ProtocolError: On anything :func:`action_to_dict` could not have
+            produced: a missing or unknown key, a value of the wrong JSON
+            type (``"false"`` is not a boolean), or an unknown enum name.
     """
     try:
-        context = payload["context"]
-        consent = payload["consent"]
-        doctrine = payload["doctrine"]
-        provider_role = context["provider_role"]
-        return InvestigativeAction(
-            description=str(payload["description"]),
-            actor=Actor[payload["actor"]],
-            data_kind=DataKind[payload["data_kind"]],
-            timing=Timing[payload["timing"]],
-            context=EnvironmentContext(
-                place=Place[context["place"]],
-                encrypted=bool(context["encrypted"]),
-                knowingly_exposed=bool(context["knowingly_exposed"]),
-                shared_with_others=bool(context["shared_with_others"]),
-                delivered_to_recipient=bool(
-                    context["delivered_to_recipient"]
-                ),
-                provider_serves_public=(
-                    None
-                    if context["provider_serves_public"] is None
-                    else bool(context["provider_serves_public"])
-                ),
-                provider_role=(
-                    None
-                    if provider_role is None
-                    else ProviderRole[provider_role]
-                ),
-                policy_eliminates_rep=bool(context["policy_eliminates_rep"]),
-                home_interior=bool(context["home_interior"]),
-                technology_in_general_public_use=bool(
-                    context["technology_in_general_public_use"]
-                ),
-                abandoned=bool(context["abandoned"]),
-            ),
-            consent=ConsentFacts(
-                scope=ConsentScope[consent["scope"]],
-                voluntary=bool(consent["voluntary"]),
-                exceeds_authority=bool(consent["exceeds_authority"]),
-                revoked=bool(consent["revoked"]),
-                covers_target_data=bool(consent["covers_target_data"]),
-            ),
-            doctrine=DoctrineFacts(
-                exigent_circumstances=bool(
-                    doctrine["exigent_circumstances"]
-                ),
-                plain_view=bool(doctrine["plain_view"]),
-                target_on_probation=bool(doctrine["target_on_probation"]),
-                emergency_pen_trap=bool(doctrine["emergency_pen_trap"]),
-                hash_search_of_lawful_media=bool(
-                    doctrine["hash_search_of_lawful_media"]
-                ),
-                mining_of_lawful_data=bool(
-                    doctrine["mining_of_lawful_data"]
-                ),
-                credentials_lawfully_obtained=bool(
-                    doctrine["credentials_lawfully_obtained"]
-                ),
-                monitoring_own_network=bool(
-                    doctrine["monitoring_own_network"]
-                ),
-                victim_invited_monitoring=bool(
-                    doctrine["victim_invited_monitoring"]
-                ),
-            ),
-        )
-    except (KeyError, TypeError) as exc:
+        return _decode_action(payload)
+    except SchemaError as exc:
         raise ProtocolError(f"malformed action: {exc}") from exc
 
 

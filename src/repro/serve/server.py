@@ -42,7 +42,8 @@ import asyncio
 import dataclasses
 
 from repro.core.cache import DEFAULT_CACHE_SIZE
-from repro.ledger.serialize import canonical_json, ruling_to_dict
+from repro.core.schema import canonical_json
+from repro.ledger.serialize import ruling_to_dict
 from repro.ledger.store import Ledger
 from repro.obs import OBS, bind_ruling_cache, clock
 from repro.serve.protocol import (
@@ -283,9 +284,10 @@ class RulingServer:
                 # the current coalesced batch, not the whole session.
                 self._ledger.commit()
             elapsed = clock() - started
-            per_action = elapsed / len(actions) if actions else 0.0
-            for _ in actions:
-                self._ruling_seconds.observe(per_action)
+            if actions:
+                self._ruling_seconds.observe(
+                    elapsed / len(actions), count=len(actions)
+                )
             self._shard_actions.inc(len(actions), shard=shard.index)
             cursor = 0
             for item in items:
@@ -308,6 +310,9 @@ class RulingServer:
         pipeline: asyncio.Queue = asyncio.Queue()
         in_flight = 0
         slot_freed = asyncio.Event()
+        # The loop holds tasks weakly: keep each batch's task until it
+        # finishes, so it is never collected and close can await it.
+        batches: set[asyncio.Task] = set()
         writer_task = asyncio.create_task(
             self._write_loop(pipeline, writer)
         )
@@ -400,17 +405,21 @@ class RulingServer:
                 # Reserve the response slot *before* dispatching, so
                 # responses always leave in request order.
                 await pipeline.put(response_future)
-                asyncio.create_task(
+                task = asyncio.create_task(
                     self._process_rule(
                         request_id, actions, started, response_future
                     )
                 )
+                batches.add(task)
+                task.add_done_callback(batches.discard)
         finally:
+            if batches:
+                await asyncio.wait(batches)
             await pipeline.put(None)
             try:
                 await writer_task
             except Exception:
-                pass
+                self._errors_total.inc(reason="writer")
             self._connections.dec()
 
     async def _write_loop(

@@ -85,6 +85,41 @@ class TestHistogramQuantiles:
             Histogram("repro_x").quantile(1.5)
 
 
+class TestHistogramBatchObserve:
+    #: (value, count) batches, as a shard worker records them: one
+    #: per-action latency repeated once per action in the batch.
+    BATCHES = [(3e-6, 250), (1.7e-5, 1), (0.0042, 4096), (2.5, 7), (3e-6, 9)]
+
+    def _pair(self) -> tuple[Histogram, Histogram]:
+        batched = Histogram("repro_batched_seconds")
+        single = Histogram("repro_single_seconds")
+        for value, count in self.BATCHES:
+            batched.observe(value, count=count)
+            for _ in range(count):
+                single.observe(value)
+        return batched, single
+
+    def test_equals_n_single_observations(self):
+        batched, single = self._pair()
+        assert batched._bucket_counts == single._bucket_counts
+        assert batched.count == single.count
+        assert batched.sum == pytest.approx(single.sum, rel=1e-12)
+        for q in (0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0):
+            assert batched.quantile(q) == single.quantile(q)
+
+    def test_exposition_matches_except_for_the_name(self):
+        batched, single = self._pair()
+        rendered = [
+            line.split(" ")[0].replace("batched", "single")
+            for line in batched.samples()
+        ]
+        assert rendered == [line.split(" ")[0] for line in single.samples()]
+        # Bucket and _count sample values are integers: exactly equal.
+        for mine, theirs in zip(batched.samples(), single.samples()):
+            if "_sum" not in mine:
+                assert mine.split(" ")[1] == theirs.split(" ")[1]
+
+
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()

@@ -1,5 +1,6 @@
 """End-to-end server tests over real sockets on ephemeral loopback ports."""
 
+import asyncio
 import json
 import urllib.request
 
@@ -8,9 +9,11 @@ import pytest
 from repro.core.cache import RulingCache
 from repro.core.engine import ComplianceEngine
 from repro.ledger.serialize import canonical_json, ruling_to_dict
+from repro.obs import OBS
 from repro.serve.client import ServeClient
 from repro.serve.harness import ServerThread
-from repro.serve.server import ServerConfig
+from repro.serve.protocol import action_to_dict, encode_line
+from repro.serve.server import RulingServer, ServerConfig
 from repro.workloads import action_corpus
 
 
@@ -250,3 +253,72 @@ class TestResponseEncoding:
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
+
+
+class TestConnectionClose:
+    def test_close_with_batches_in_flight_leaves_no_pending_tasks(self):
+        batches, width = 8, 300
+        payload = [action_to_dict(a) for a in action_corpus(width, seed=51)]
+
+        async def scenario() -> list[asyncio.Task]:
+            server = RulingServer(_config(n_shards=2))
+            await server.start()
+            try:
+                _reader, writer = await asyncio.open_connection(
+                    *server.address
+                )
+                for request_id in range(batches):
+                    writer.write(
+                        encode_line(
+                            {"op": "rule", "id": request_id, "actions": payload}
+                        )
+                    )
+                await writer.drain()
+                # Hang up without reading a single response.
+                writer.close()
+                await writer.wait_closed()
+                registry = OBS.registry
+                accepted = registry.counter("repro_serve_actions_total")
+                connections = registry.gauge("repro_serve_connections")
+                # The hang-up may reset the socket before every batch is
+                # read; any dispatched batch is enough to exercise close.
+                while accepted.value() == 0 or connections.value() != 0:
+                    await asyncio.sleep(0.01)
+                errors = registry.counter("repro_serve_errors_total")
+                assert errors.value(reason="writer") == 0
+                return [
+                    task
+                    for task in asyncio.all_tasks()
+                    if task.get_coro().__qualname__
+                    == "RulingServer._process_rule"
+                ]
+            finally:
+                await server.stop()
+
+        assert asyncio.run(asyncio.wait_for(scenario(), 30)) == []
+
+    def test_writer_failure_is_counted_not_swallowed(self, monkeypatch):
+        async def failing_write_loop(self, pipeline, writer):
+            writer.close()
+            raise RuntimeError("writer broke")
+
+        monkeypatch.setattr(RulingServer, "_write_loop", failing_write_loop)
+
+        async def scenario() -> float:
+            server = RulingServer(_config(n_shards=1))
+            await server.start()
+            try:
+                _reader, writer = await asyncio.open_connection(
+                    *server.address
+                )
+                errors = OBS.registry.counter("repro_serve_errors_total")
+                connections = OBS.registry.gauge("repro_serve_connections")
+                while errors.value(reason="writer") == 0:
+                    await asyncio.sleep(0.01)
+                writer.close()
+                assert connections.value() == 0
+                return errors.value(reason="writer")
+            finally:
+                await server.stop()
+
+        assert asyncio.run(asyncio.wait_for(scenario(), 30)) == 1
